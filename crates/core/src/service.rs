@@ -674,7 +674,9 @@ impl XplainService {
             _ => None,
         };
         let report = with_journal_rotation(&mut journal, dir, || match incremental_from {
-            Some(rows) => crate::snapshot::sync_append(dir, log.records()[rows..].to_vec()),
+            Some(rows) => {
+                crate::snapshot::sync_append(dir, log.records()[rows..].to_vec(), log.generation())
+            }
             None => crate::snapshot::persist(&log, dir, crate::shard::hardware_threads()),
         })?;
         *state = Some(CheckpointState {
@@ -1806,11 +1808,25 @@ mod tests {
 
         // The checkpoint absorbs the tail into a segment and rotates the
         // journal: the old frames are gone, the cursor is back at the
-        // header, and the rotation generation matches the manifest's.
+        // header, and the rotation generation is the served log's, as
+        // recorded in the manifest.
         let report = service.checkpoint(&dir).unwrap();
         let after = service.journal_stats().unwrap();
         assert!(after.bytes < before.bytes);
-        assert_eq!(after.last_rotation_generation, report.manifest.generation);
+        assert_eq!(after.last_rotation_generation, service.generation());
+        assert_eq!(report.manifest.generation, service.generation());
+
+        // The next incremental checkpoint records the generation the
+        // append in between moved the log to.
+        let first_generation = service.generation();
+        service.append(extra_jobs(100, 2)).unwrap();
+        let report = service.checkpoint(&dir).unwrap();
+        assert!(service.generation() > first_generation);
+        assert_eq!(
+            service.journal_stats().unwrap().last_rotation_generation,
+            service.generation()
+        );
+        assert_eq!(report.manifest.generation, service.generation());
 
         // A crash right after the checkpoint loses nothing: the manifest
         // covers everything and the fresh journal is empty.

@@ -889,69 +889,33 @@ struct ShardPayload {
     task: EncodedSegment,
 }
 
-/// Loads and verifies one shard: read, fingerprint-check, decode,
-/// consistency-check against its manifest entry and the global catalogs.
+/// Decodes one fingerprint-verified segment file and checks it against its
+/// manifest entry and the manifest's global catalogs.  Every failure is a
+/// corruption message about that file.
 fn load_shard(
-    dir: &Path,
+    bytes: &[u8],
     entry: &ShardEntry,
-    job_catalog: &FeatureCatalog,
-    task_catalog: &FeatureCatalog,
-    retries: &AtomicU64,
-) -> Result<SnapshotShard> {
-    let path = dir.join(&entry.file);
-    let display = path.display().to_string();
-    let bytes = read_file(&path, "snapshot.segment.read", retries)?;
-    let corrupt = |message: String| CoreError::SnapshotCorrupt {
-        path: display.clone(),
-        message,
-    };
-    let found = fingerprint_bytes(&bytes);
-    if found != entry.fingerprint {
-        return Err(corrupt(format!(
-            "fingerprint mismatch: manifest records {:016x}, file hashes to {found:016x}",
-            entry.fingerprint
-        )));
-    }
+    manifest: &SnapshotManifest,
+) -> std::result::Result<SnapshotShard, String> {
     if let Some(failure) = mlcore::failpoints::trigger("snapshot.segment.decode") {
-        return Err(corrupt(
-            failure.into_io_error("snapshot.segment.decode").to_string(),
-        ));
+        return Err(failure.into_io_error("snapshot.segment.decode").to_string());
     }
-    let payload = decode_shard_file(&bytes).map_err(|e| corrupt(e.to_string()))?;
+    // `decode_shard_file` already cross-checks each kind's segment row
+    // count against its records (a zero-column store, whose catalog is
+    // empty, cannot know its row count and is exempt).
+    let payload = decode_shard_file(bytes).map_err(|e| e.to_string())?;
     if payload.records.len() as u64 != entry.rows {
-        return Err(corrupt(format!(
+        return Err(format!(
             "manifest records {} row(s), segment holds {}",
             entry.rows,
             payload.records.len()
-        )));
+        ));
     }
     for (kind, segment) in [
         (ExecutionKind::Job, &payload.job),
         (ExecutionKind::Task, &payload.task),
     ] {
-        let catalog = match kind {
-            ExecutionKind::Job => job_catalog,
-            ExecutionKind::Task => task_catalog,
-        };
-        verify_segment_schema(segment, catalog, kind).map_err(corrupt)?;
-        let expected = payload.records.iter().filter(|r| r.kind == kind).count();
-        // A zero-column store (empty catalog: the records of this kind
-        // carry no features at all) cannot know its row count —
-        // `ColumnStore::from_columns` derives rows from the first column —
-        // so the cross-check is only meaningful when columns exist.  The
-        // in-memory encode produces exactly the same zero-row store for
-        // such logs, so views still assemble bit-identically.
-        if !catalog.is_empty() && segment.store.num_rows() != expected {
-            return Err(CoreError::SnapshotCorrupt {
-                path: display.clone(),
-                message: format!(
-                    "{} segment encodes {} row(s) for {expected} {} record(s)",
-                    kind.as_str(),
-                    segment.store.num_rows(),
-                    kind.as_str()
-                ),
-            });
-        }
+        verify_segment_schema(segment, manifest.catalog(kind), kind)?;
     }
     Ok(SnapshotShard {
         records: payload.records,
@@ -1110,33 +1074,79 @@ pub struct SnapshotViews {
     pub task: ColumnarLog,
 }
 
+/// Maps `f` over `items` on one [`crate::shard::map_chunks`] fan-out (one
+/// chunk per hardware thread) and returns the results in item order.
+fn fan_out<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
+    crate::shard::map_chunks(
+        items,
+        crate::shard::hardware_threads().min(items.len()),
+        |chunk| chunk.iter().map(&f).collect::<Vec<R>>(),
+    )
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
+/// How deep [`scan`] reads each shard.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ScanDepth {
+    /// Read the segment file and check its content fingerprint; decode
+    /// nothing.
+    Fingerprint,
+    /// Also decode the segment ([`load_shard`]) and check it against its
+    /// manifest entry and the global catalogs.
+    Decode,
+}
+
+/// The store's one shard scan: reads the manifest entries at `indices` on
+/// one fan-out, fingerprint-verifies each segment file and, at
+/// [`ScanDepth::Decode`], loads it.  Returns one result per index, in the
+/// order given — `Some(shard)` when decoded, `None` at
+/// [`ScanDepth::Fingerprint`].  A damaged shard fails only its own slot.
+fn scan(
+    dir: &Path,
+    manifest: &SnapshotManifest,
+    indices: &[usize],
+    depth: ScanDepth,
+    retries: &AtomicU64,
+) -> Vec<Result<Option<SnapshotShard>>> {
+    fan_out(indices, |&index| {
+        let entry = &manifest.shards[index];
+        let path = dir.join(&entry.file);
+        let corrupt = |message: String| CoreError::SnapshotCorrupt {
+            path: path.display().to_string(),
+            message,
+        };
+        let bytes = read_file(&path, "snapshot.segment.read", retries)?;
+        let found = fingerprint_bytes(&bytes);
+        if found != entry.fingerprint {
+            return Err(corrupt(format!(
+                "fingerprint mismatch: manifest records {:016x}, file hashes to {found:016x}",
+                entry.fingerprint
+            )));
+        }
+        match depth {
+            ScanDepth::Fingerprint => Ok(None),
+            ScanDepth::Decode => load_shard(&bytes, entry, manifest)
+                .map(Some)
+                .map_err(corrupt),
+        }
+    })
+}
+
 /// Opens a snapshot directory: manifest first, then every segment file
-/// loaded and fingerprint-verified across `std::thread::scope` threads
-/// ([`crate::shard::map_chunks`]), assembled in manifest order.
+/// loaded and fingerprint-verified by one [`scan`], assembled in manifest
+/// order.  The lowest-index damaged shard names the error.
 pub fn open(dir: &Path) -> Result<Snapshot> {
     let retries = AtomicU64::new(0);
     let manifest = SnapshotManifest::load_with_retries(dir, &retries)?;
-    let loaded: Result<Vec<Vec<SnapshotShard>>> = crate::shard::map_chunks(
-        &manifest.shards,
-        crate::shard::hardware_threads().min(manifest.shards.len()),
-        |chunk| {
-            chunk
-                .iter()
-                .map(|entry| {
-                    load_shard(
-                        dir,
-                        entry,
-                        &manifest.job_catalog,
-                        &manifest.task_catalog,
-                        &retries,
-                    )
-                })
-                .collect::<Result<Vec<SnapshotShard>>>()
-        },
-    )
-    .into_iter()
-    .collect();
-    let shards: Vec<SnapshotShard> = loaded?.into_iter().flatten().collect();
+    let all: Vec<usize> = (0..manifest.shards.len()).collect();
+    let shards: Vec<SnapshotShard> = scan(dir, &manifest, &all, ScanDepth::Decode, &retries)
+        .into_iter()
+        .collect::<Result<Vec<_>>>()?
+        .into_iter()
+        .flatten()
+        .collect();
 
     // The manifest's global catalogs must be exactly the merge of the
     // per-shard catalogs — otherwise `to_log` and the stored segments
@@ -1276,38 +1286,15 @@ impl PartialSnapshot {
 pub fn open_salvage(dir: &Path) -> Result<PartialSnapshot> {
     let retries = AtomicU64::new(0);
     let manifest = SnapshotManifest::load_with_retries(dir, &retries)?;
-    let indexed: Vec<(usize, &ShardEntry)> = manifest.shards.iter().enumerate().collect();
-    let loaded: Vec<(usize, Result<SnapshotShard>)> = crate::shard::map_chunks(
-        &indexed,
-        crate::shard::hardware_threads().min(indexed.len()),
-        |chunk| {
-            chunk
-                .iter()
-                .map(|(index, entry)| {
-                    (
-                        *index,
-                        load_shard(
-                            dir,
-                            entry,
-                            &manifest.job_catalog,
-                            &manifest.task_catalog,
-                            &retries,
-                        ),
-                    )
-                })
-                .collect::<Vec<_>>()
-        },
-    )
-    .into_iter()
-    .flatten()
-    .collect();
+    let all: Vec<usize> = (0..manifest.shards.len()).collect();
+    let loaded = scan(dir, &manifest, &all, ScanDepth::Decode, &retries);
 
     let mut healthy = Vec::with_capacity(loaded.len());
     let mut quarantined = Vec::new();
-    for (index, result) in loaded {
+    for (index, result) in loaded.into_iter().enumerate() {
         let entry = &manifest.shards[index];
         match result {
-            Ok(shard) => healthy.push((index, shard)),
+            Ok(shard) => healthy.extend(shard.map(|shard| (index, shard))),
             Err(error) => {
                 let from = dir.join(&entry.file);
                 let quarantine_name = format!("quarantine-{}", entry.file);
@@ -1332,7 +1319,6 @@ pub fn open_salvage(dir: &Path) -> Result<PartialSnapshot> {
             }
         }
     }
-    quarantined.sort_by_key(|damage| damage.index);
     Ok(PartialSnapshot {
         manifest,
         healthy,
@@ -1370,48 +1356,19 @@ impl ShardHealth {
 pub fn verify(dir: &Path) -> Result<Vec<ShardHealth>> {
     let retries = AtomicU64::new(0);
     let manifest = SnapshotManifest::load_with_retries(dir, &retries)?;
-    let indexed: Vec<(usize, &ShardEntry)> = manifest.shards.iter().enumerate().collect();
-    let mut checked: Vec<ShardHealth> = crate::shard::map_chunks(
-        &indexed,
-        crate::shard::hardware_threads().min(indexed.len()),
-        |chunk| {
-            chunk
-                .iter()
-                .map(|(index, entry)| {
-                    let path = dir.join(&entry.file);
-                    let error = match read_file(&path, "snapshot.segment.read", &retries) {
-                        Err(err) => Some(err),
-                        Ok(bytes) => {
-                            let found = fingerprint_bytes(&bytes);
-                            if found == entry.fingerprint {
-                                None
-                            } else {
-                                Some(CoreError::SnapshotCorrupt {
-                                    path: path.display().to_string(),
-                                    message: format!(
-                                        "fingerprint mismatch: manifest records {:016x}, \
-                                         file hashes to {found:016x}",
-                                        entry.fingerprint
-                                    ),
-                                })
-                            }
-                        }
-                    };
-                    ShardHealth {
-                        index: *index,
-                        file: entry.file.clone(),
-                        rows: entry.rows,
-                        error,
-                    }
-                })
-                .collect::<Vec<_>>()
-        },
-    )
-    .into_iter()
-    .flatten()
-    .collect();
-    checked.sort_by_key(|health| health.index);
-    Ok(checked)
+    let all: Vec<usize> = (0..manifest.shards.len()).collect();
+    let checked = scan(dir, &manifest, &all, ScanDepth::Fingerprint, &retries);
+    Ok(checked
+        .into_iter()
+        .zip(&manifest.shards)
+        .enumerate()
+        .map(|(index, (result, entry))| ShardHealth {
+            index,
+            file: entry.file.clone(),
+            rows: entry.rows,
+            error: result.err(),
+        })
+        .collect())
 }
 
 // ---------------------------------------------------------------------------
@@ -1461,20 +1418,16 @@ pub struct SyncReport {
 pub fn persist(log: &ExecutionLog, dir: &Path, num_shards: usize) -> Result<SyncReport> {
     let records = log.records();
     let chunk_size = records.len().div_ceil(num_shards.max(1)).max(1);
-    let mut shards: Vec<RecordShard> = records
+    let shards = records
         .chunks(chunk_size)
-        .map(|chunk| RecordShard {
-            records: chunk.to_vec(),
-            source_fingerprint: None,
+        .map(|chunk| {
+            ShardInput::Fresh(RecordShard {
+                records: chunk.to_vec(),
+                source_fingerprint: None,
+            })
         })
         .collect();
-    if shards.is_empty() {
-        shards.push(RecordShard {
-            records: Vec::new(),
-            source_fingerprint: None,
-        });
-    }
-    persist_impl(dir, shards, log.generation())
+    commit(dir, None, shards, log.generation(), &AtomicU64::new(0))
 }
 
 /// Persists explicit record shards (e.g. one per bundle batch, so the shard
@@ -1482,99 +1435,8 @@ pub fn persist(log: &ExecutionLog, dir: &Path, num_shards: usize) -> Result<Sync
 /// re-ingests).  Overwrites whatever snapshot was in `dir`; this is also
 /// the recovery path when [`open`] or [`sync`] report corruption.
 pub fn persist_shards(dir: &Path, shards: Vec<RecordShard>) -> Result<SyncReport> {
-    persist_impl(dir, shards, 1)
-}
-
-fn persist_impl(dir: &Path, mut shards: Vec<RecordShard>, generation: u64) -> Result<SyncReport> {
-    if shards.is_empty() {
-        shards.push(RecordShard {
-            records: Vec::new(),
-            source_fingerprint: None,
-        });
-    }
-    // Shard-local catalogs in parallel, then the global merge in order.
-    let local_catalogs: Vec<(FeatureCatalog, FeatureCatalog)> = crate::shard::map_chunks(
-        &shards,
-        crate::shard::hardware_threads().min(shards.len()),
-        |chunk| {
-            chunk
-                .iter()
-                .map(|shard| infer_catalogs(&shard.records))
-                .collect::<Vec<_>>()
-        },
-    )
-    .into_iter()
-    .flatten()
-    .collect();
-    let mut job_catalog = FeatureCatalog::new();
-    let mut task_catalog = FeatureCatalog::new();
-    for (job, task) in &local_catalogs {
-        job_catalog.merge(job);
-        task_catalog.merge(task);
-    }
-
-    let encode_started = Instant::now();
-    let files: Vec<(Vec<u8>, ShardSizes)> = crate::shard::map_chunks(
-        &shards,
-        crate::shard::hardware_threads().min(shards.len()),
-        |chunk| {
-            chunk
-                .iter()
-                .map(|shard| encode_shard_file(&shard.records, &job_catalog, &task_catalog))
-                .collect::<Vec<_>>()
-        },
-    )
-    .into_iter()
-    .flatten()
-    .collect();
-    let encode_seconds = encode_started.elapsed().as_secs_f64();
-
-    let write_started = Instant::now();
-    let retries = AtomicU64::new(0);
-    create_dir(dir, &retries)?;
-    let mut entries = Vec::with_capacity(shards.len());
-    for (i, ((shard, (bytes, sizes)), (job_local, task_local))) in
-        shards.iter().zip(&files).zip(local_catalogs).enumerate()
-    {
-        let fingerprint = fingerprint_bytes(bytes);
-        let file = segment_file_name(i, fingerprint);
-        let path = dir.join(&file);
-        write_file(&path, "snapshot.segment.write", &retries, bytes)?;
-        entries.push(ShardEntry {
-            file,
-            rows: shard.records.len() as u64,
-            fingerprint,
-            source_fingerprint: shard.source_fingerprint,
-            bytes: sizes.total,
-            job_bytes: sizes.job,
-            task_bytes: sizes.task,
-            raw_bytes: sizes.raw,
-            job_catalog: job_local,
-            task_catalog: task_local,
-        });
-    }
-    let manifest = SnapshotManifest {
-        version: SNAPSHOT_VERSION,
-        generation,
-        job_catalog,
-        task_catalog,
-        shards: entries,
-    };
-    manifest.save(dir, &retries)?;
-    remove_orphan_segments(dir, &manifest);
-    remove_stale_journal(dir);
-    let write_seconds = write_started.elapsed().as_secs_f64();
-
-    Ok(SyncReport {
-        rows: manifest.rows(),
-        shards_encoded: shards.len(),
-        shards_reused: 0,
-        catalog_changed: false,
-        encode_seconds,
-        write_seconds,
-        io_retries: retries.load(Ordering::Relaxed),
-        manifest,
-    })
+    let inputs = shards.into_iter().map(ShardInput::Fresh).collect();
+    commit(dir, None, inputs, 1, &AtomicU64::new(0))
 }
 
 /// Segment file names embed the content fingerprint, so a re-encoded shard
@@ -1657,6 +1519,7 @@ pub enum ShardInput {
 /// fresh shards are encoded and written.  If the merged feature catalog
 /// changes, every stored segment's schema is stale and all shards re-encode
 /// from their on-disk records — the original source is still not touched.
+/// The manifest records generation 1, that of a freshly ingested log.
 ///
 /// Fails with a typed error when `dir` holds no (or a corrupt or
 /// version-skewed) snapshot, or when an `Unchanged` shard's fingerprint
@@ -1665,22 +1528,78 @@ pub enum ShardInput {
 pub fn sync(dir: &Path, inputs: Vec<ShardInput>) -> Result<SyncReport> {
     let retries = AtomicU64::new(0);
     let old = SnapshotManifest::load_with_retries(dir, &retries)?;
-    let manifest_path = dir.join(MANIFEST_FILE).display().to_string();
-
     // An emptied source is a full rewrite down to one empty shard — a
     // zero-shard manifest would be unreadable (`load` rejects it).
-    if inputs.is_empty() {
-        return persist_shards(dir, Vec::new());
+    let old = (!inputs.is_empty()).then_some(&old);
+    commit(dir, old, inputs, 1, &retries)
+}
+
+/// Persists `tail` — the records appended since the snapshot in `dir` was
+/// last written — as **one additional incremental shard**, keeping every
+/// existing shard verbatim ([`ShardInput::Keep`]).  This is the live-tail
+/// checkpoint: a serving process that has only appended since its last
+/// [`persist`] encodes O(tail) records instead of re-encoding the world.
+/// When the tail introduces features the stored catalog has never seen the
+/// schema moved, and every segment transparently re-encodes from its
+/// on-disk records — slower, still correct, still no source re-parse.
+/// `generation` is the served log's generation, recorded in the manifest.
+///
+/// An empty tail degenerates to a keep-everything sync: the stored
+/// segments are fingerprint-verified and the manifest rewritten, nothing
+/// re-encoded.
+pub fn sync_append(dir: &Path, tail: Vec<ExecutionRecord>, generation: u64) -> Result<SyncReport> {
+    let retries = AtomicU64::new(0);
+    let old = SnapshotManifest::load_with_retries(dir, &retries)?;
+    let mut inputs = vec![ShardInput::Keep; old.shards.len()];
+    if !tail.is_empty() {
+        inputs.push(ShardInput::Fresh(RecordShard {
+            records: tail,
+            source_fingerprint: None,
+        }));
     }
+    commit(dir, Some(&old), inputs, generation, &retries)
+}
+
+// ---------------------------------------------------------------------------
+// Commit
+// ---------------------------------------------------------------------------
+
+/// The store's one commit path, behind [`persist`], [`persist_shards`],
+/// [`sync`] and [`sync_append`]: writes `inputs` (no inputs stand for one
+/// empty shard) as the snapshot in `dir` and commits the manifest with
+/// `generation`.
+///
+/// Shards the caller keeps ([`ShardInput::Unchanged`], [`ShardInput::Keep`])
+/// must exist in `old`.  They are [`scan`]ned before anything is written:
+/// fingerprint-verified while the merged catalog is unchanged (their
+/// entries carry over verbatim), or decoded and re-encoded against the new
+/// catalog when it moved.  Fresh shards are encoded and written under
+/// content-addressed names, then the manifest is committed atomically and
+/// the superseded segments and the stale journal are swept.
+fn commit(
+    dir: &Path,
+    old: Option<&SnapshotManifest>,
+    mut inputs: Vec<ShardInput>,
+    generation: u64,
+    retries: &AtomicU64,
+) -> Result<SyncReport> {
+    if inputs.is_empty() {
+        inputs.push(ShardInput::Fresh(RecordShard {
+            records: Vec::new(),
+            source_fingerprint: None,
+        }));
+    }
+    let old_shards: &[ShardEntry] = old.map_or(&[], |old| &old.shards);
 
     // Validate every reuse claim against the manifest before doing work.
+    let manifest_path = || dir.join(MANIFEST_FILE).display().to_string();
     for (i, input) in inputs.iter().enumerate() {
         match input {
             ShardInput::Unchanged { source_fingerprint } => {
-                let recorded = old.shards.get(i).and_then(|e| e.source_fingerprint);
+                let recorded = old_shards.get(i).and_then(|e| e.source_fingerprint);
                 if recorded != Some(*source_fingerprint) {
                     return Err(CoreError::SnapshotCorrupt {
-                        path: manifest_path.clone(),
+                        path: manifest_path(),
                         message: format!(
                             "shard {i} cannot be reused: manifest records source fingerprint \
                              {recorded:?}, caller observed {source_fingerprint:016x}"
@@ -1688,12 +1607,12 @@ pub fn sync(dir: &Path, inputs: Vec<ShardInput>) -> Result<SyncReport> {
                     });
                 }
             }
-            ShardInput::Keep if old.shards.get(i).is_none() => {
+            ShardInput::Keep if old_shards.get(i).is_none() => {
                 return Err(CoreError::SnapshotCorrupt {
-                    path: manifest_path.clone(),
+                    path: manifest_path(),
                     message: format!(
                         "shard {i} cannot be kept: the manifest records only {} shards",
-                        old.shards.len()
+                        old_shards.len()
                     ),
                 });
             }
@@ -1701,226 +1620,112 @@ pub fn sync(dir: &Path, inputs: Vec<ShardInput>) -> Result<SyncReport> {
         }
     }
 
-    // Per-shard catalogs: stored entries for unchanged shards, inference
-    // for fresh ones; then the global merge in input order.
-    let local_catalogs: Vec<(FeatureCatalog, FeatureCatalog)> = crate::shard::map_chunks(
-        &inputs,
-        crate::shard::hardware_threads().min(inputs.len().max(1)),
-        |chunk| {
-            chunk
-                .iter()
-                .map(|input| match input {
-                    ShardInput::Fresh(shard) => infer_catalogs(&shard.records),
-                    ShardInput::Unchanged { .. } | ShardInput::Keep => Default::default(),
-                })
-                .collect::<Vec<_>>()
-        },
-    )
-    .into_iter()
-    .flatten()
-    .collect();
+    // Per-shard catalogs: inference for fresh shards, the stored entries
+    // for kept ones; then the global merge in input order.
+    let inferred = fan_out(&inputs, |input| match input {
+        ShardInput::Fresh(shard) => Some(infer_catalogs(&shard.records)),
+        ShardInput::Unchanged { .. } | ShardInput::Keep => None,
+    });
     let mut job_catalog = FeatureCatalog::new();
     let mut task_catalog = FeatureCatalog::new();
     let mut entry_catalogs = Vec::with_capacity(inputs.len());
-    for (i, input) in inputs.iter().enumerate() {
-        let (job, task) = match input {
-            ShardInput::Fresh(_) => local_catalogs[i].clone(),
-            ShardInput::Unchanged { .. } | ShardInput::Keep => {
-                let entry = &old.shards[i];
-                (entry.job_catalog.clone(), entry.task_catalog.clone())
-            }
-        };
+    for (i, local) in inferred.into_iter().enumerate() {
+        let (job, task) = local.unwrap_or_else(|| {
+            let entry = &old_shards[i];
+            (entry.job_catalog.clone(), entry.task_catalog.clone())
+        });
         job_catalog.merge(&job);
         task_catalog.merge(&task);
         entry_catalogs.push((job, task));
     }
-    let catalog_changed = job_catalog != old.job_catalog || task_catalog != old.task_catalog;
+    let catalog_changed =
+        old.is_some_and(|old| job_catalog != old.job_catalog || task_catalog != old.task_catalog);
 
-    // When the schema moved, the reused shards' records must come off disk
-    // so their segments can re-encode against the new catalog.
-    let reloaded: Vec<Option<Vec<ExecutionRecord>>> = if catalog_changed {
-        let job_old = &old.job_catalog;
-        let task_old = &old.task_catalog;
-        crate::shard::map_chunks(
-            &inputs.iter().enumerate().collect::<Vec<_>>(),
-            crate::shard::hardware_threads().min(inputs.len().max(1)),
-            |chunk| {
-                chunk
-                    .iter()
-                    .map(|(i, input)| match input {
-                        ShardInput::Unchanged { .. } | ShardInput::Keep => {
-                            load_shard(dir, &old.shards[*i], job_old, task_old, &retries)
-                                .map(|shard| Some(shard.records))
-                        }
-                        ShardInput::Fresh(_) => Ok(None),
-                    })
-                    .collect::<Result<Vec<_>>>()
-            },
-        )
-        .into_iter()
-        .collect::<Result<Vec<_>>>()?
-        .into_iter()
-        .flatten()
-        .collect()
-    } else {
-        // Reused segments are still *served from disk* afterwards, so their
-        // content must be good: verify each one's fingerprint (a cheap byte
-        // hash — no decode, no re-encode) so a corrupted store fails this
-        // sync with a typed error instead of surfacing at the next open.
-        let unchanged: Vec<usize> = inputs
-            .iter()
-            .enumerate()
-            .filter(|(_, input)| matches!(input, ShardInput::Unchanged { .. } | ShardInput::Keep))
-            .map(|(i, _)| i)
-            .collect();
-        let verified: Result<Vec<()>> = crate::shard::map_chunks(
-            &unchanged,
-            crate::shard::hardware_threads().min(unchanged.len().max(1)),
-            |chunk| {
-                chunk
-                    .iter()
-                    .map(|&i| {
-                        let entry = &old.shards[i];
-                        let path = dir.join(&entry.file);
-                        let bytes = read_file(&path, "snapshot.segment.read", &retries)?;
-                        let found = fingerprint_bytes(&bytes);
-                        if found != entry.fingerprint {
-                            return Err(CoreError::SnapshotCorrupt {
-                                path: path.display().to_string(),
-                                message: format!(
-                                    "fingerprint mismatch: manifest records {:016x}, \
-                                     file hashes to {found:016x}",
-                                    entry.fingerprint
-                                ),
-                            });
-                        }
-                        Ok(())
-                    })
-                    .collect::<Result<Vec<()>>>()
-            },
-        )
-        .into_iter()
-        .collect::<Result<Vec<_>>>()
-        .map(|chunks| chunks.into_iter().flatten().collect());
-        verified?;
-        vec![None; inputs.len()]
-    };
-
-    // Encode what needs encoding.
-    let encode_started = Instant::now();
-    struct Job<'a> {
-        index: usize,
-        records: &'a [ExecutionRecord],
-    }
-    let mut jobs = Vec::new();
-    for (i, input) in inputs.iter().enumerate() {
-        match input {
-            ShardInput::Fresh(shard) => jobs.push(Job {
-                index: i,
-                records: &shard.records,
-            }),
-            ShardInput::Unchanged { .. } | ShardInput::Keep if catalog_changed => jobs.push(Job {
-                index: i,
-                records: reloaded[i].as_deref().expect("reloaded above"),
-            }),
-            ShardInput::Unchanged { .. } | ShardInput::Keep => {}
+    // Kept segments are served from disk afterwards, so their content must
+    // verify now — a corrupted store fails this commit with a typed error
+    // instead of surfacing at the next open.  When the schema moved, their
+    // records also come off disk to re-encode against the new catalog.
+    let kept: Vec<usize> = (0..inputs.len())
+        .filter(|&i| !matches!(inputs[i], ShardInput::Fresh(_)))
+        .collect();
+    let mut reloaded = BTreeMap::new();
+    if let Some(old) = old {
+        let depth = if catalog_changed {
+            ScanDepth::Decode
+        } else {
+            ScanDepth::Fingerprint
+        };
+        for (&i, scanned) in kept.iter().zip(scan(dir, old, &kept, depth, retries)) {
+            if let Some(shard) = scanned? {
+                reloaded.insert(i, shard.records);
+            }
         }
     }
-    let encoded: Vec<(usize, (Vec<u8>, ShardSizes))> = crate::shard::map_chunks(
-        &jobs,
-        crate::shard::hardware_threads().min(jobs.len().max(1)),
-        |chunk| {
-            chunk
-                .iter()
-                .map(|job| {
-                    (
-                        job.index,
-                        encode_shard_file(job.records, &job_catalog, &task_catalog),
-                    )
-                })
-                .collect::<Vec<_>>()
-        },
-    )
-    .into_iter()
-    .flatten()
-    .collect();
+
+    // Encode the fresh shards and, when the schema moved, the kept ones.
+    let encode_started = Instant::now();
+    let jobs: Vec<(usize, &[ExecutionRecord])> = inputs
+        .iter()
+        .enumerate()
+        .filter_map(|(i, input)| match input {
+            ShardInput::Fresh(shard) => Some((i, shard.records.as_slice())),
+            ShardInput::Unchanged { .. } | ShardInput::Keep => {
+                reloaded.get(&i).map(|records| (i, records.as_slice()))
+            }
+        })
+        .collect();
+    let files = fan_out(&jobs, |(_, records)| {
+        encode_shard_file(records, &job_catalog, &task_catalog)
+    });
+    let mut encoded: BTreeMap<usize, (u64, Vec<u8>, ShardSizes)> = jobs
+        .iter()
+        .zip(files)
+        .map(|(&(i, records), (bytes, sizes))| (i, (records.len() as u64, bytes, sizes)))
+        .collect();
     let encode_seconds = encode_started.elapsed().as_secs_f64();
 
-    // Write the fresh files and assemble the new manifest.
+    // Write the encoded files and assemble the new manifest.
     let write_started = Instant::now();
-    let mut fresh_files: BTreeMap<usize, (Vec<u8>, ShardSizes)> = encoded.into_iter().collect();
+    create_dir(dir, retries)?;
     let mut entries = Vec::with_capacity(inputs.len());
     let mut shards_encoded = 0usize;
     let mut shards_reused = 0usize;
-    for (i, input) in inputs.iter().enumerate() {
-        let (job_local, task_local) = entry_catalogs[i].clone();
-        let entry = match (input, fresh_files.remove(&i)) {
-            (ShardInput::Unchanged { source_fingerprint }, None) => {
-                shards_reused += 1;
-                let old_entry = &old.shards[i];
-                ShardEntry {
-                    file: old_entry.file.clone(),
-                    rows: old_entry.rows,
-                    fingerprint: old_entry.fingerprint,
-                    source_fingerprint: Some(*source_fingerprint),
-                    bytes: old_entry.bytes,
-                    job_bytes: old_entry.job_bytes,
-                    task_bytes: old_entry.task_bytes,
-                    raw_bytes: old_entry.raw_bytes,
-                    job_catalog: job_local,
-                    task_catalog: task_local,
-                }
-            }
-            (ShardInput::Keep, None) => {
-                shards_reused += 1;
-                let old_entry = &old.shards[i];
-                let mut entry = old_entry.clone();
-                entry.job_catalog = job_local;
-                entry.task_catalog = task_local;
-                entry
-            }
-            (input, Some((bytes, sizes))) => {
-                shards_encoded += 1;
-                let rows = match input {
-                    ShardInput::Fresh(shard) => shard.records.len(),
-                    ShardInput::Unchanged { .. } | ShardInput::Keep => {
-                        reloaded[i].as_ref().expect("reloaded above").len()
-                    }
-                };
-                let source_fingerprint = match input {
-                    ShardInput::Fresh(shard) => shard.source_fingerprint,
-                    ShardInput::Unchanged { source_fingerprint } => Some(*source_fingerprint),
-                    ShardInput::Keep => old.shards[i].source_fingerprint,
-                };
-                let fingerprint = fingerprint_bytes(&bytes);
-                let file = segment_file_name(i, fingerprint);
-                let path = dir.join(&file);
-                write_file(&path, "snapshot.segment.write", &retries, &bytes)?;
-                ShardEntry {
-                    file,
-                    rows: rows as u64,
-                    fingerprint,
-                    source_fingerprint,
-                    bytes: sizes.total,
-                    job_bytes: sizes.job,
-                    task_bytes: sizes.task,
-                    raw_bytes: sizes.raw,
-                    job_catalog: job_local,
-                    task_catalog: task_local,
-                }
-            }
-            (ShardInput::Fresh(_), None) => unreachable!("fresh shards are always encoded"),
+    for (i, (input, (job_local, task_local))) in inputs.iter().zip(entry_catalogs).enumerate() {
+        let Some((rows, bytes, sizes)) = encoded.remove(&i) else {
+            // Kept verbatim: its entry (catalogs included) carries over.
+            shards_reused += 1;
+            entries.push(old_shards[i].clone());
+            continue;
         };
-        entries.push(entry);
+        shards_encoded += 1;
+        let source_fingerprint = match input {
+            ShardInput::Fresh(shard) => shard.source_fingerprint,
+            ShardInput::Unchanged { .. } | ShardInput::Keep => old_shards[i].source_fingerprint,
+        };
+        let fingerprint = fingerprint_bytes(&bytes);
+        let file = segment_file_name(i, fingerprint);
+        write_file(&dir.join(&file), "snapshot.segment.write", retries, &bytes)?;
+        entries.push(ShardEntry {
+            file,
+            rows,
+            fingerprint,
+            source_fingerprint,
+            bytes: sizes.total,
+            job_bytes: sizes.job,
+            task_bytes: sizes.task,
+            raw_bytes: sizes.raw,
+            job_catalog: job_local,
+            task_catalog: task_local,
+        });
     }
     let manifest = SnapshotManifest {
         version: SNAPSHOT_VERSION,
-        generation: 1,
+        generation,
         job_catalog,
         task_catalog,
         shards: entries,
     };
-    manifest.save(dir, &retries)?;
+    manifest.save(dir, retries)?;
     remove_orphan_segments(dir, &manifest);
     remove_stale_journal(dir);
     let write_seconds = write_started.elapsed().as_secs_f64();
@@ -1935,31 +1740,6 @@ pub fn sync(dir: &Path, inputs: Vec<ShardInput>) -> Result<SyncReport> {
         io_retries: retries.load(Ordering::Relaxed),
         manifest,
     })
-}
-
-/// Persists `tail` — the records appended since the snapshot in `dir` was
-/// last written — as **one additional incremental shard**, keeping every
-/// existing shard verbatim ([`ShardInput::Keep`]).  This is the live-tail
-/// checkpoint: a serving process that has only appended since its last
-/// [`persist`] encodes O(tail) records instead of re-encoding the world.
-/// When the tail introduces features the stored catalog has never seen the
-/// schema moved, and [`sync`] transparently re-encodes every segment from
-/// its on-disk records — slower, still correct, still no source re-parse.
-///
-/// An empty tail degenerates to a keep-everything sync: the stored
-/// segments are fingerprint-verified and the manifest rewritten, nothing
-/// re-encoded.
-pub fn sync_append(dir: &Path, tail: Vec<ExecutionRecord>) -> Result<SyncReport> {
-    let retries = AtomicU64::new(0);
-    let old = SnapshotManifest::load_with_retries(dir, &retries)?;
-    let mut inputs: Vec<ShardInput> = (0..old.shards.len()).map(|_| ShardInput::Keep).collect();
-    if !tail.is_empty() {
-        inputs.push(ShardInput::Fresh(RecordShard {
-            records: tail,
-            source_fingerprint: None,
-        }));
-    }
-    sync(dir, inputs)
 }
 
 // ---------------------------------------------------------------------------
@@ -2780,7 +2560,8 @@ mod tests {
                 .with_feature("duration", 11.0),
         ];
         let before = SnapshotManifest::load(&dir).unwrap();
-        let report = sync_append(&dir, tail.clone()).unwrap();
+        let report = sync_append(&dir, tail.clone(), 7).unwrap();
+        assert_eq!(report.manifest.generation, 7);
         assert_eq!(report.shards_encoded, 1);
         assert_eq!(report.shards_reused, base_shards);
         assert!(!report.catalog_changed);
@@ -2798,7 +2579,7 @@ mod tests {
         assert_eq!(open(&dir).unwrap().to_log(), expected);
 
         // An empty tail is a keep-everything no-op sync.
-        let idle = sync_append(&dir, Vec::new()).unwrap();
+        let idle = sync_append(&dir, Vec::new(), 8).unwrap();
         assert_eq!(idle.shards_encoded, 0);
         assert_eq!(idle.shards_reused, base_shards + 1);
 
@@ -2809,7 +2590,7 @@ mod tests {
             .with_feature("pigscript", "script_9.pig")
             .with_feature("brand_new_knob", 3.0)
             .with_feature("duration", 5.0)];
-        let report = sync_append(&dir, oddball.clone()).unwrap();
+        let report = sync_append(&dir, oddball.clone(), 9).unwrap();
         assert!(report.catalog_changed);
         assert_eq!(report.shards_reused, 0);
         assert_eq!(report.shards_encoded, base_shards + 2);

@@ -113,13 +113,41 @@ fn fingerprint_mismatches_are_a_typed_error() {
     let at = bytes.len() / 2;
     bytes[at] ^= 0xff;
     std::fs::write(&path, bytes).unwrap();
+    let file = manifest.shards[1].file.clone();
 
-    match snapshot::open(&dir) {
-        Err(CoreError::SnapshotCorrupt { message, .. }) => {
+    // Every entry point that reads the shard agrees on the damage: the
+    // strict open and an empty checkpoint fail naming the file...
+    let damage = snapshot::open(&dir).unwrap_err();
+    match &damage {
+        CoreError::SnapshotCorrupt { path, message } => {
+            assert!(path.contains(&file), "path was {path}");
             assert!(message.contains("fingerprint mismatch"), "{message}");
         }
         other => panic!("expected SnapshotCorrupt, got {other:?}"),
     }
+    assert_eq!(
+        snapshot::sync_append(&dir, Vec::new(), 1).unwrap_err(),
+        damage
+    );
+
+    // ...the read-only health check flags exactly that shard, with the
+    // same error...
+    let health = snapshot::verify(&dir).unwrap();
+    assert_eq!(health.len(), manifest.shards.len());
+    for shard in &health {
+        if shard.index == 1 {
+            assert_eq!(shard.error.as_ref(), Some(&damage));
+        } else {
+            assert!(shard.is_healthy(), "{shard:?}");
+        }
+    }
+
+    // ...and a salvage open quarantines exactly that shard.
+    let partial = snapshot::open_salvage(&dir).unwrap();
+    assert_eq!(partial.damaged_indices(), vec![1]);
+    assert_eq!(partial.quarantined()[0].file, file);
+    assert_eq!(partial.quarantined()[0].error, damage);
+    assert_eq!(partial.healthy_shards(), manifest.shards.len() - 1);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
