@@ -274,8 +274,7 @@ struct PairsBenchReport {
     /// Hardware threads the sharded/parallel numbers were measured with —
     /// on a single-core machine every sharded speedup degenerates to ~1x.
     hardware_threads: usize,
-    /// Record count above which pair enumeration fans out by default (the
-    /// `parallel`/`serial` features force-override this).
+    /// Record count from which pair enumeration fans out.
     parallel_enumeration_threshold: usize,
     points: Vec<PairsBenchPoint>,
     service_reuse: ServiceReusePoint,

@@ -141,7 +141,7 @@
 //!    truth table), so classifying one candidate pair is a handful of
 //!    integer/float comparisons — no allocation, no string hashing, no
 //!    `BTreeMap`.
-//! 4. **Stream the enumeration, parallel by default.**
+//! 4. **Stream the enumeration, in parallel when it pays.**
 //!    `collect_related_pairs` never materialises the candidate space:
 //!    blocking groups and the deterministic cap (a stateless per-ordinal
 //!    hash, so enumeration order and parallelism cannot change the outcome)
@@ -149,9 +149,8 @@
 //!    *related* pairs.  On multi-core machines the outer record loop fans
 //!    out over `std::thread::scope` threads automatically once the plan
 //!    enumerates at least as many candidates as an unblocked
-//!    [`PARALLEL_ENUMERATION_THRESHOLD`]-record log; the `parallel` feature
-//!    forces the fan-out on, the `serial` feature forces it off, and
-//!    results are bit-identical in every mode.
+//!    [`PARALLEL_ENUMERATION_THRESHOLD`]-record log, with results
+//!    bit-identical to the serial scan.
 //! 5. **Encode the sample directly.**
 //!    [`DatasetBridge::encode_from_view`](bridge::DatasetBridge::encode_from_view)
 //!    derives the pair features of the sampled training pairs straight from
@@ -235,11 +234,17 @@
 //!    snapshot read, write and rename retries with bounded exponential
 //!    backoff before surfacing [`CoreError::SnapshotIo`], and
 //!    [`SyncReport::io_retries`](snapshot::SyncReport::io_retries) counts
-//!    what was absorbed.  A store the strict [`snapshot::open`] rejects as
-//!    corrupt is *salvaged* next ([`snapshot::open_salvage`],
+//!    what was absorbed.  Every read of segment files goes through **one
+//!    shard scan**, at one of two depths — the content fingerprint alone,
+//!    or the fingerprint plus a full decode checked against the manifest —
+//!    so a damaged shard fails with the same typed error whichever entry
+//!    point reads it: the strict [`snapshot::open`], the salvage open, the
+//!    read-only [`snapshot::verify`], or a commit keeping the shard.  A
+//!    store the strict open rejects as corrupt is *salvaged* next
+//!    ([`snapshot::open_salvage`],
 //!    [`XplainService::open_snapshot_salvage`](service::XplainService::open_snapshot_salvage)):
-//!    every shard fingerprint-verifies independently, damaged segments are
-//!    **quarantined** — renamed aside, never deleted — and the healthy
+//!    the same scan verifies every shard independently, damaged segments
+//!    are **quarantined** — renamed aside, never deleted — and the healthy
 //!    shards keep serving as a
 //!    [`PartialSnapshot`](snapshot::PartialSnapshot) while a targeted
 //!    [`snapshot::sync`] re-encodes *only* the quarantined shards from
@@ -247,7 +252,9 @@
 //!    stores salvage cannot read at all: an unusable manifest, or a v1
 //!    store reporting [`CoreError::SnapshotVersionSkew`].
 //!    [`snapshot::verify`] audits every fingerprint read-only (CLI
-//!    `perfxplain snapshot verify`), and under `--features failpoints`
+//!    `perfxplain snapshot verify`); every write goes through one commit
+//!    path ([`snapshot::persist`], [`snapshot::sync`] and
+//!    [`snapshot::sync_append`] alike).  Under `--features failpoints`
 //!    every one of these IO sites carries a named fault-injection point
 //!    the chaos suite drives.
 //! 10. **Journal acknowledged appends; replay them on restart.** The

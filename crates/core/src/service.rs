@@ -29,8 +29,8 @@
 //!   flags — and one [`QueryOutcome`] carries everything back, replacing
 //!   the old parse → bind → explain → assess → narrate choreography.
 //! * The service is `Sync`: [`XplainService::par_explain_batch`] answers a
-//!   slice of requests across `std::thread::scope` threads, all sharing the
-//!   same cached `Arc<ColumnarLog>` view.
+//!   slice of requests on the shared worker pool ([`crate::pool::shared`]),
+//!   all sharing the same cached `Arc<ColumnarLog>` view.
 //!
 //! The stateless [`PerfXplain::explain`] / [`PerfXplain::explain_full`] are
 //! thin wrappers over a single-shot pass through this module

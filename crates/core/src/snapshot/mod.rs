@@ -5,40 +5,73 @@
 //! log and re-encoded every columnar segment from scratch.  The snapshot
 //! store turns that around: the *encoded* form — per-shard binary column
 //! segments plus the records that produced them — is what lives on disk,
-//! and a cold start reads it straight back into the sharded pipeline:
+//! and a cold start reads it straight back into the sharded pipeline.
 //!
-//! * [`persist`] / [`persist_shards`] write one **segment file** per shard
-//!   (length-prefixed binary, format v2: the shard's records slimmed down
-//!   to id/kind/parent plus *exception* features, and its compressed job
-//!   and task column segments with local dictionaries, via
-//!   [`mlcore::ColumnStore::encode_binary`]) and a JSON **manifest** tying
-//!   the shards together: per-shard content fingerprints (FxHash, reusing
-//!   [`mlcore::hash`]), per-shard feature catalogs, per-shard byte
-//!   accounting ([`SnapshotManifest::usage`]), the merged global catalogs
-//!   and the source log's generation.  Feature values are **not** written
-//!   twice: a record's feature map is rebuilt on open from the column
-//!   segments, and only the cells the columns cannot reproduce bit-exactly
-//!   (a `Null` value, a canonical-text collision) ride along as explicit
-//!   exceptions.
-//! * [`open`] loads the segment files across `std::thread::scope` threads
-//!   ([`crate::shard::map_chunks`]), verifies every fingerprint and every
-//!   schema against the manifest, and hands back a [`Snapshot`].
-//!   [`Snapshot::into_views`] consumes it into a [`SnapshotViews`] — the
-//!   reassembled [`ExecutionLog`] plus both [`ColumnarLog`] views — with
-//!   the decoded `Arc`-backed column buffers **moved, not copied**, into
-//!   the views (single-segment snapshots adopt them outright); the views
-//!   are **bit-identical** to [`ColumnarLog::build_sharded`] over the
-//!   original log, and the log equals [`ExecutionLog::from_shards`] over
-//!   the stored shard catalogs, **in manifest order** regardless of how
-//!   the files are laid out on disk.
-//! * [`sync`] is the incremental re-ingest primitive: the caller fingerprints
-//!   each shard's *source* (e.g. the raw bundle bytes), and shards whose
-//!   source fingerprint still matches the manifest are reused verbatim —
-//!   content-fingerprint-verified but never decoded, re-parsed or
-//!   re-encoded — while only the dirty shards are re-encoded.  When the merged feature catalog changes (a new shard
-//!   introduced a new feature, or a feature's kind flipped), every segment's
-//!   schema is stale and the store transparently re-encodes all shards from
-//!   their on-disk records — still without touching the original source.
+//! A snapshot directory holds one **segment file** per shard
+//! (length-prefixed binary, format v2: the shard's records slimmed down to
+//! id/kind/parent plus *exception* features, and its compressed job and
+//! task column segments with local dictionaries, via
+//! [`mlcore::ColumnStore::encode_binary`]) and a JSON **manifest** tying
+//! the shards together: per-shard content fingerprints (FxHash, reusing
+//! [`mlcore::hash`]), per-shard feature catalogs, per-shard byte accounting
+//! ([`SnapshotManifest::usage`]), the merged global catalogs and the source
+//! log's generation.  Feature values are **not** written twice: a record's
+//! feature map is rebuilt on open from the column segments, and only the
+//! cells the columns cannot reproduce bit-exactly (a `Null` value, a
+//! canonical-text collision) ride along as explicit exceptions.  An
+//! optional `journal.bin` ([`Journal`]) holds the acknowledged appends
+//! since the last commit.
+//!
+//! # One scan, one commit
+//!
+//! Every read of segment files goes through **one shard scan**
+//! (`scan.rs`), which reads a set of manifest entries on one
+//! [`crate::shard::map_chunks`] fan-out and returns a result per shard, in
+//! manifest order.  It reads at one of two depths:
+//!
+//! * **fingerprint** — the file's bytes must hash to the manifest's
+//!   content fingerprint; nothing is decoded.  [`verify`] (read-only) and
+//!   the commit's check of the shards it keeps while the schema is stable
+//!   read at this depth.
+//! * **decode** — the fingerprint check, then a full decode checked against
+//!   the shard's manifest entry (row count) and the global catalogs
+//!   (schema).  [`open`] fails on the lowest-index damaged shard and then
+//!   checks that the global catalogs are the merge of the per-shard ones;
+//!   [`open_salvage`] quarantines each damaged shard instead; the commit
+//!   reloads the records of the shards it keeps when the schema moved.
+//!
+//! A damaged shard therefore fails the same way, with the same typed error,
+//! whichever entry point reads it.
+//!
+//! Every write goes through **one commit** (`commit.rs`), which takes the
+//! old manifest (if any), one [`ShardInput`] per shard and the generation
+//! to record.  [`persist`] and [`persist_shards`] commit all-fresh shards
+//! over whatever was there; [`sync`] (incremental re-ingest: the caller
+//! fingerprints each shard's *source*, e.g. the raw bundle bytes) and
+//! [`sync_append`] (the live-tail checkpoint) keep the shards whose source
+//! did not change.  The commit checks every reuse claim against the old
+//! manifest, merges the catalogs in shard order, scans the kept shards,
+//! encodes the fresh ones, writes content-addressed segment files,
+//! atomically replaces the manifest, and sweeps superseded segments and the
+//! now-redundant journal.  Kept shards are never decoded or re-encoded
+//! unless the merged catalog changed (a new feature, or a feature's kind
+//! flipped): then every segment's schema is stale and all shards re-encode
+//! from their on-disk records, still without touching the original source.
+//!
+//! [`Snapshot::into_views`] consumes an opened snapshot into a
+//! [`SnapshotViews`] — the reassembled
+//! [`ExecutionLog`](crate::record::ExecutionLog) plus both
+//! [`ColumnarLog`](crate::columnar::ColumnarLog) views — with the decoded
+//! `Arc`-backed column buffers **moved, not copied**, into the views
+//! (single-segment snapshots adopt them outright).  The views are
+//! **bit-identical** to
+//! [`ColumnarLog::build_sharded`](crate::columnar::ColumnarLog::build_sharded)
+//! over the original log, and the log equals
+//! [`ExecutionLog::from_shards`](crate::record::ExecutionLog::from_shards)
+//! over the stored shard catalogs, **in manifest order** regardless of how
+//! the files are laid out on disk.
+//!
+//! # Recovery
 //!
 //! Corruption — truncated files, flipped bytes, edited manifests, version
 //! skew — surfaces as typed [`CoreError`]s ([`CoreError::SnapshotCorrupt`],
@@ -52,9 +85,9 @@
 //!    never retry), and the retry count surfaces in
 //!    [`SyncReport::io_retries`] so operators can see a flaky disk.
 //! 2. **Salvage, then targeted re-encode.** [`open_salvage`] is the
-//!    lenient [`open`]: it fingerprint-verifies every shard
-//!    *independently*, renames damaged segment files aside
-//!    (`quarantine-…`, never deleted — forensics survive), and returns a
+//!    lenient [`open`]: the same scan verifies every shard
+//!    *independently*, damaged segment files are renamed aside
+//!    (`quarantine-…`, never deleted — forensics survive), and it returns a
 //!    [`PartialSnapshot`] of the healthy shards plus a [`ShardDamage`]
 //!    report.  [`sync`] with the damaged shards as [`ShardInput::Fresh`]
 //!    and the rest [`ShardInput::Unchanged`] then re-encodes *only* what
@@ -71,6 +104,19 @@
 //! `snapshot.segment.write`, `snapshot.segment.decode`, …), so the chaos
 //! suite (`tests/chaos.rs`, `--features failpoints`) can inject faults at
 //! any of them and prove the layering above actually holds.
+//!
+//! # Modules
+//!
+//! * `mod.rs` — fingerprints, the transient-IO retry and the file helpers
+//!   every other module writes and reads through;
+//! * `manifest.rs` — [`ShardEntry`], [`SnapshotManifest`] and its
+//!   validated load and atomic save;
+//! * `segment.rs` — the segment file codec and the decode-side checks;
+//! * `scan.rs` — the shard scan and [`open`], [`open_salvage`] and
+//!   [`verify`] on top of it;
+//! * `commit.rs` — the commit and [`persist`], [`persist_shards`],
+//!   [`sync`] and [`sync_append`] on top of it;
+//! * `journal.rs` — the write-ahead append journal.
 
 mod commit;
 mod journal;

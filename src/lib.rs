@@ -100,8 +100,8 @@
 //!   snapshot verify`) checks every fingerprint read-only.
 //! * **Warm service cache** — every later query `Arc`-shares the cached
 //!   view per (log generation, kind); pair enumeration fans out over
-//!   threads by default on large views (the `parallel` / `serial` crate
-//!   features force it on / off), with bit-identical results either way.
+//!   threads on large views, with results bit-identical to the serial
+//!   scan.
 //! * **Live appends** — new executions stream into a *serving* process
 //!   without ever paying a re-encode.
 //!   [`XplainService::append`](perfxplain_core::XplainService::append)

@@ -237,17 +237,23 @@ proptest! {
 // Streaming columnar pipeline ≡ map-based pipeline
 // ---------------------------------------------------------------------------
 
-/// A deterministic pseudo-random log: numeric and nominal features, missing
-/// values, and duration regimes that give both observed and expected pairs.
+fn mix(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A deterministic pseudo-random log of 10–17 jobs: numeric and nominal
+/// features, missing values, and duration regimes that give both observed
+/// and expected pairs.
 fn random_log(seed: u64) -> ExecutionLog {
-    fn mix(mut z: u64) -> u64 {
-        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
+    random_log_of(seed, 10 + (mix(seed) % 8) as usize)
+}
+
+/// [`random_log`] with exactly `n` jobs.
+fn random_log_of(seed: u64, n: usize) -> ExecutionLog {
     let mut log = ExecutionLog::new();
-    let n = 10 + (mix(seed) % 8) as usize;
     for i in 0..n {
         let h = mix(seed.wrapping_mul(31).wrapping_add(i as u64));
         let input = [1.0e9, 4.0e9, 32.0e9][(h % 3) as usize];
@@ -334,6 +340,33 @@ fn reference_related_pairs(
     related
 }
 
+/// Checks that the streaming enumerator yields exactly the related pairs
+/// (and labels) of the eager map-based path for every query of the pool.
+fn streaming_matches_the_map_based_path(log: &ExecutionLog) -> Result<(), TestCaseError> {
+    let config = uncapped_config();
+    for query in query_pool() {
+        let bound = BoundQuery::new(query, "job_0", "job_1");
+        let (_, related) = perfxplain_core::training::collect_related_pairs(log, &bound, &config);
+        let mut streaming: Vec<(usize, usize, PairLabel)> =
+            related.iter().map(|p| (p.left, p.right, p.label)).collect();
+        streaming.sort_unstable_by_key(|&(l, r, _)| (l, r));
+        let mut reference = reference_related_pairs(log, &bound, &config);
+        reference.sort_unstable_by_key(|&(l, r, _)| (l, r));
+        prop_assert_eq!(streaming, reference);
+    }
+    Ok(())
+}
+
+/// The fixed input of `streaming_related_pairs_match_the_map_based_path`:
+/// one job more than the fan-out threshold, so an unblocked query's plan
+/// crosses the candidate-count gate and, on a multi-core machine, the
+/// enumeration fans out before it is checked against the map-based path.
+#[test]
+fn streaming_related_pairs_match_the_map_based_path_past_the_fan_out_gate() {
+    let log = random_log_of(7, perfxplain_core::PARALLEL_ENUMERATION_THRESHOLD + 1);
+    streaming_matches_the_map_based_path(&log).unwrap();
+}
+
 /// An uncapped configuration, so streaming and eager candidate selection
 /// are comparable as sets.
 fn uncapped_config() -> ExplainConfig {
@@ -349,22 +382,7 @@ proptest! {
     /// labels) of the eager map-based path.
     #[test]
     fn streaming_related_pairs_match_the_map_based_path(seed in 0u64..500) {
-        let log = random_log(seed);
-        let config = uncapped_config();
-        for query in query_pool() {
-            let bound = BoundQuery::new(query, "job_0", "job_1");
-            let (_, related) = perfxplain_core::training::collect_related_pairs(
-                &log, &bound, &config,
-            );
-            let mut streaming: Vec<(usize, usize, PairLabel)> = related
-                .iter()
-                .map(|p| (p.left, p.right, p.label))
-                .collect();
-            streaming.sort_unstable_by_key(|&(l, r, _)| (l, r));
-            let mut reference = reference_related_pairs(&log, &bound, &config);
-            reference.sort_unstable_by_key(|&(l, r, _)| (l, r));
-            prop_assert_eq!(streaming, reference);
-        }
+        streaming_matches_the_map_based_path(&random_log(seed))?;
     }
 
     /// The one-pass columnar dataset encoding produces a dataset identical

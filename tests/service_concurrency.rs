@@ -1,9 +1,10 @@
 //! Concurrency tests of the [`XplainService`]: many threads, one cached
 //! columnar view per execution kind, bit-identical answers.
 //!
-//! Run in CI both with default features and with `--features parallel`
-//! (which additionally fans the inner pair enumeration of every query out
-//! over threads).
+//! Whether a query's own pair enumeration also fans out depends only on its
+//! plan's candidate count (`PARALLEL_ENUMERATION_THRESHOLD`);
+//! `tests/properties.rs` checks the fanned-out path against the map-based
+//! one.
 
 use perfxplain::prelude::*;
 use perfxplain::QueryInput;
